@@ -2,7 +2,15 @@
 //! equivalent-processor reduction — the substrate of the companion tree
 //! mechanism \[9\], used here as a baseline in the cross-architecture
 //! comparison (E10) and as an independent oracle for the chain solver (a
-//! chain is a degenerate tree, and the two solvers must agree exactly).
+//! chain is a degenerate tree).
+//!
+//! On a path the two solvers agree to rounding, not bit for bit: they
+//! evaluate the same recurrence in a different floating-point order. On a
+//! 256-node heterogeneous path only a few fractions are bit-equal, and the
+//! largest relative difference is a few ulps (about 4e-15, pinned below
+//! 1e-14 by a test here). This is why `protocol`'s tree fault runner sends
+//! degenerate paths through its chain topology instead of solving them
+//! here: a path's fault report stays byte-identical to the chain's.
 //!
 //! Every internal node solves a local star problem over (link, equivalent
 //! child) pairs: subtrees are collapsed bottom-up into equivalent processors
@@ -127,6 +135,47 @@ pub fn distribute(node: &TreeNode, amount: f64) -> TreeSolution {
 /// equivalent time of the root subtree (all processors finish together).
 pub fn makespan(root: &TreeNode) -> f64 {
     equivalent_time(root)
+}
+
+/// Rebuild `shape` with `rates` at its non-root processors, in preorder.
+/// The root rate and every link are kept.
+///
+/// # Panics
+/// Panics unless there is exactly one rate per non-root node, or if a rate
+/// is not a valid processor rate.
+pub fn with_agent_rates(shape: &TreeNode, rates: &[f64]) -> TreeNode {
+    fn rebuild(node: &TreeNode, rates: &[f64], next: &mut usize) -> TreeNode {
+        TreeNode {
+            processor: node.processor,
+            children: node
+                .children
+                .iter()
+                .map(|(l, c)| {
+                    let w = Processor::new(rates[*next]);
+                    *next += 1;
+                    let mut child = rebuild(c, rates, next);
+                    child.processor = w;
+                    (*l, child)
+                })
+                .collect(),
+        }
+    }
+    assert_eq!(rates.len(), shape.size() - 1, "one rate per non-root node");
+    rebuild(shape, rates, &mut 0)
+}
+
+/// The non-root processor rates of `tree`, in preorder: the inverse of
+/// [`with_agent_rates`].
+pub fn agent_rates(tree: &TreeNode) -> Vec<f64> {
+    fn walk(node: &TreeNode, out: &mut Vec<f64>) {
+        for (_, c) in &node.children {
+            out.push(c.processor.w);
+            walk(c, out);
+        }
+    }
+    let mut out = Vec::with_capacity(tree.size() - 1);
+    walk(tree, &mut out);
+    out
 }
 
 /// Result of [`splice_node`]: the survivor tree plus the preorder
@@ -455,6 +504,64 @@ mod tests {
         assert_eq!(canon.children[1].1.children[0].1, TreeNode::leaf(2.0));
         assert_eq!(canon.children[1].1.children[1].1, TreeNode::leaf(0.7));
         assert_eq!(canon.children[2].1, TreeNode::leaf(1.1));
+    }
+
+    #[test]
+    fn agent_rates_round_trip_in_preorder() {
+        let shape = TreeNode::internal(
+            1.0,
+            vec![
+                (
+                    0.1,
+                    TreeNode::internal(1.0, vec![(0.2, TreeNode::leaf(1.0))]),
+                ),
+                (0.3, TreeNode::leaf(1.0)),
+            ],
+        );
+        let tree = with_agent_rates(&shape, &[2.0, 3.0, 4.0]);
+        let expected = TreeNode::internal(
+            1.0,
+            vec![
+                (
+                    0.1,
+                    TreeNode::internal(2.0, vec![(0.2, TreeNode::leaf(3.0))]),
+                ),
+                (0.3, TreeNode::leaf(4.0)),
+            ],
+        );
+        assert_eq!(tree, expected);
+        assert_eq!(agent_rates(&tree), vec![2.0, 3.0, 4.0]);
+        assert!(agent_rates(&TreeNode::leaf(1.0)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "one rate per non-root node")]
+    fn with_agent_rates_rejects_wrong_arity() {
+        with_agent_rates(
+            &TreeNode::internal(1.0, vec![(0.1, TreeNode::leaf(1.0))]),
+            &[],
+        );
+    }
+
+    #[test]
+    fn path_solve_agrees_with_the_chain_solver_to_rounding() {
+        // The two solvers evaluate the same recurrence in different
+        // floating-point orders: on a long heterogeneous path they agree to
+        // a few ulps, not bit for bit.
+        let n = 256;
+        let w: Vec<f64> = (0..n).map(|i| 0.5 + 0.3 * ((i * 7 % 11) as f64)).collect();
+        let z: Vec<f64> = (1..n).map(|i| 0.05 + 0.04 * ((i * 3 % 5) as f64)).collect();
+        let net = LinearNetwork::from_rates(&w, &z);
+        let tree = solve(&TreeNode::from_chain(&net)).flatten();
+        let chain = linear::solve(&net);
+        let mut worst = 0.0f64;
+        for (i, &t) in tree.iter().enumerate() {
+            let l = chain.alloc.alpha(i);
+            worst = worst.max((t - l).abs() / l.abs());
+        }
+        assert!(worst <= 1e-14, "largest relative difference {worst:e}");
+        let span = makespan(&TreeNode::from_chain(&net));
+        assert!((span - chain.makespan()).abs() / chain.makespan() <= 1e-14);
     }
 
     #[test]

@@ -205,28 +205,7 @@ impl TreeMechanism {
     /// nodes).
     fn with_bids(&self, bids: &[f64]) -> TreeNode {
         assert_eq!(bids.len(), self.agents, "one bid per strategic node");
-        fn rebuild(node: &TreeNode, bids: &[f64], next: &mut usize, is_root: bool) -> TreeNode {
-            let rate = if is_root {
-                node.processor.w
-            } else {
-                let r = bids[*next];
-                *next += 1;
-                r
-            };
-            let children = node
-                .children
-                .iter()
-                .map(|(l, c)| (*l, rebuild(c, bids, next, false)))
-                .collect();
-            TreeNode {
-                processor: Processor::new(rate),
-                children,
-            }
-        }
-        let mut next = 0;
-        let out = rebuild(&self.shape, bids, &mut next, true);
-        assert_eq!(next, self.agents);
-        out
+        tree::with_agent_rates(&self.shape, bids)
     }
 
     /// The service order the policy prescribes for this bid-instantiated

@@ -55,7 +55,7 @@ pub fn run_with_faults_single(
     let identity_map: Vec<Option<usize>> = (0..n).map(Some).collect();
 
     let mut report = match plan.halting_fault() {
-        None => healthy_report(scenario, &base, identity_map),
+        None => healthy_report(&base, identity_map),
         Some((
             k,
             FaultKind::Crash {
@@ -74,7 +74,7 @@ pub fn run_with_faults_single(
         Some((_, _)) => unreachable!("halting_fault returns only Crash/Stall"),
     };
 
-    apply_message_faults(&mut report, plan, m);
+    apply_message_faults(scenario, &mut report, plan);
     Ok(report)
 }
 
@@ -99,7 +99,7 @@ fn pre_distribution_crash(
         })
         .collect();
 
-    let detector = detector_of(k, phase, m);
+    let detector = detector_of(scenario, k, phase);
     let mut transcript = Transcript::new();
     transcript.record(Entry::Timeout {
         detector,
@@ -264,7 +264,7 @@ fn mid_computation_halt(
     let done_k = progress * base.retained[k];
     let residual = base.retained[k] - done_k;
 
-    let detector = detector_of(k, 3, m);
+    let detector = detector_of(scenario, k, 3);
     let mut transcript = base.transcript.clone();
     transcript.record(Entry::Timeout {
         detector,
@@ -382,7 +382,7 @@ fn pre_billing_crash(
 ) -> FtRunReport {
     let m = scenario.num_agents();
     let n = m + 1;
-    let detector = detector_of(k, 4, m);
+    let detector = detector_of(scenario, k, 4);
     let mut transcript = base.transcript.clone();
     transcript.record(Entry::Timeout {
         detector,

@@ -1,18 +1,28 @@
-//! Fault-tolerant protocol execution: run a [`Scenario`] under an injected
-//! [`FaultPlan`] and recover via **chain splicing** — including cascading
-//! and simultaneous failures.
+//! Fault-tolerant protocol execution: run a scenario under an injected
+//! [`FaultPlan`] and recover by **splicing** the halted nodes out —
+//! including cascading and simultaneous failures.
+//!
+//! This module holds the one recovery engine. It is generic over a small
+//! crate-private `Topology` trait with two implementations: [`Scenario`]
+//! (chains, here) and [`crate::TreeScenario`] (trees, in
+//! [`crate::ft_tree_runner`]). The trait carries only what differs between
+//! the two: the fault-free base run, who a node's parent and first child
+//! are, how a survivor is spliced out, how the residual load is
+//! re-allocated, and how the root re-settles a silent Phase IV bill.
+//! Detection, recovery rounds, settlement and renumbering are written once.
 //!
 //! ### Recovery protocol
 //! When a strategic processor `P_k` halts (crash-stop in any phase, or a
 //! Phase III stall), a neighbour's detection timer fires, the root probes
-//! liveness, and recovery proceeds by *splicing* `P_k` out of the chain:
-//! the links `z_k` and `z_{k+1}` fuse into one store-and-forward hop of
-//! rate `z_k + z_{k+1}` ([`dlt::linear::splice`]), and the root re-solves
-//! the DLT allocation on the survivor chain for whatever load `P_k` left
-//! unprocessed.
+//! liveness, and recovery proceeds by *splicing* `P_k` out of the network.
+//! On a chain the links `z_k` and `z_{k+1}` fuse into one store-and-forward
+//! hop of rate `z_k + z_{k+1}` ([`dlt::linear::splice`]); on a tree every
+//! child subtree of `P_k` is re-attached to its parent over a fused link
+//! ([`dlt::tree::splice_node`]). The root then re-solves the DLT
+//! allocation on the survivors for whatever load `P_k` left unprocessed.
 //!
 //! * Halt **before distribution** (Phases I–II): the whole unit load is
-//!   allocated over the survivor chain from scratch.
+//!   allocated over the survivors from scratch.
 //! * Halt **during computation** (Phase III, at progress `p`): the dead
 //!   node's residual `(1 − p)·α̃_k` is re-allocated over the survivors;
 //!   each survivor's recovery work is compensated at exactly its metered
@@ -24,15 +34,22 @@
 //! for the work it verifiably completed — made whole for its cost, but no
 //! bonus, since bonuses reward finishing the prescribed share.
 //!
+//! ### Detection
+//! Phase I bids flow upward, so the **parent** of a silent node times out;
+//! Phase II allocations flow downward, so its **first child** in service
+//! order waits (the root for a terminal node); Phase III results and Phase
+//! IV bills are awaited by the **root**. On a chain the parent is the
+//! predecessor and the first child the successor.
+//!
 //! ### Cascading and simultaneous failures
 //! A plan may halt any number of *distinct* nodes. The halting faults
 //! resolve in [`FaultPlan::detection_order`] — ascending phase, plan order
-//! within a phase — and `dlt::linear::splice` composes, so each confirmed
-//! failure fuses its links and the survivor chain shrinks monotonically:
+//! within a phase — and splices compose, so each confirmed failure shrinks
+//! the survivor network monotonically:
 //!
 //! * **Pre-distribution crashes** recurse: the first dead node is spliced
 //!   out, the survivors re-run Phases I–II among themselves, and the
-//!   remaining faults (renumbered to the spliced chain) are recovered
+//!   remaining faults (renumbered to the spliced network) are recovered
 //!   *inside* that re-run. The composed `splice_map` records the final
 //!   renumbering.
 //! * **Phase III halts** are serialized by the root: the first halt is
@@ -59,10 +76,10 @@
 //! later crashes keeps its earlier fines and loses its bonus.
 //!
 //! ### Determinism
-//! Given the same `(Scenario, FaultPlan)` pair the report is bit-identical
+//! Given the same `(scenario, FaultPlan)` pair the report is bit-identical
 //! — faults are part of the experiment description, not sampled during the
-//! run. On single-failure plans this engine is additionally byte-identical
-//! to the PR 1 single-failure path, frozen as
+//! run. On single-failure chain plans this engine is additionally
+//! byte-identical to the original single-failure path, frozen as
 //! [`crate::ft_reference::run_with_faults_single`] and enforced by the
 //! `multi_fault` differential suite.
 //!
@@ -73,12 +90,11 @@
 //! confirmed only after the previous round's re-allocation is in flight.
 //! A node that halts in phase `p` is treated as absent from phase `p`
 //! onward *and* its earlier-phase message interplay is replayed on the
-//! spliced chain for pre-distribution halts (the survivors re-run Phases
+//! spliced network for pre-distribution halts (the survivors re-run Phases
 //! I–II among themselves). Recovery allocation is computed on the
 //! *reported* (bid) rates, like any Phase II allocation. After a
 //! pre-distribution splice the inner protocol transcript and ledger are
-//! renumbered back to the original chain indices via
-//! [`FtRunReport::splice_map`].
+//! renumbered back to the original indices via [`FtRunReport::splice_map`].
 
 use crate::crypto::NodeId;
 use crate::faults::{FaultError, FaultEvent, FaultKind, FaultPlan};
@@ -87,7 +103,7 @@ use crate::root::{arbitrate_concurrent_unresponsive, arbitrate_unresponsive, Arb
 use crate::runner::{try_run, RunReport, Scenario, ScenarioError};
 use crate::transcript::{Entry, Transcript};
 use dlt::linear;
-use dlt::model::LinearNetwork;
+use dlt::model::{LinearNetwork, Link, Processor};
 use mechanism::payment::{self, PaymentBreakdown, PaymentInputs};
 
 /// Why a fault-tolerant run could not start.
@@ -95,7 +111,7 @@ use mechanism::payment::{self, PaymentBreakdown, PaymentInputs};
 pub enum FtError {
     /// The scenario itself is malformed.
     Scenario(ScenarioError),
-    /// The fault plan is malformed (for this chain size).
+    /// The fault plan is malformed (for this network size).
     Fault(FaultError),
 }
 
@@ -123,8 +139,8 @@ impl From<FaultError> for FtError {
 }
 
 /// Everything a fault-tolerant run produced. All per-node vectors use the
-/// **original** chain indexing (`0` = root, length `m + 1` or `m`), even
-/// when recovery ran on a spliced chain.
+/// **original** indexing (`0` = root; chain position or tree preorder;
+/// length `m + 1` or `m`), even when recovery ran on a spliced network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FtRunReport {
     /// Every crash-stopped node, in detection order.
@@ -161,19 +177,21 @@ pub struct FtRunReport {
     pub net_utilities: Vec<f64>,
     /// The transcript: fault entries plus the protocol messages of the run
     /// that executed (spliced indices for pre-distribution halts — see
-    /// `splice_map`).
+    /// `splice_map`). Empty for a branching tree, whose protocol run keeps
+    /// no transcript.
     pub transcript: Transcript,
     /// `splice_map[old] = Some(new)` maps original to post-splice indices;
     /// `None` marks a removed node. Composed across nested splices for
     /// cascading pre-distribution crashes. Identity when nothing was
     /// spliced before distribution.
     pub splice_map: Vec<Option<usize>>,
-    /// Discrete events the execution simulator processed.
+    /// Discrete events the execution simulator processed (0 for a
+    /// branching tree, whose run is not event-simulated).
     pub events: u64,
-    /// Deterministic per-run phase timeline (original chain indexing):
-    /// base-run work, detection-timeout waits, the splice instants and
-    /// recovery spans — nested recovery included — on the same virtual
-    /// clock as `makespan`.
+    /// Deterministic per-run phase timeline (original indexing): base-run
+    /// work, detection-timeout waits, the splice instants and recovery
+    /// spans — nested recovery included — on the same virtual clock as
+    /// `makespan`. A branching tree's base round is one root span.
     pub timeline: obs::PhaseTimeline,
 }
 
@@ -206,30 +224,221 @@ impl FtRunReport {
     }
 }
 
-/// Detection rule: who notices `P_k` going silent in `phase`. Phase I bids
-/// flow upward (the predecessor waits); Phase II allocations flow downward
-/// (the successor waits, the root for the terminal node); results and
-/// bills are awaited by the root.
-pub(crate) fn detector_of(k: NodeId, phase: u8, m: usize) -> NodeId {
+/// What the recovery engine must do differently on each network topology.
+/// Node indices are `0` for the root and `1..=m` for the strategic nodes
+/// (chain position or tree preorder).
+pub(crate) trait Topology: Sized {
+    /// The reported-rate network the Phase III recovery rounds re-solve.
+    type Net;
+    /// Whether the base run records a replayable transcript, which the
+    /// engine then extends with its fault entries.
+    const TRANSCRIPT: bool;
+
+    /// Check the scenario's numeric inputs.
+    fn validate(&self) -> Result<(), ScenarioError>;
+    /// Number of strategic nodes `m`.
+    fn num_agents(&self) -> usize;
+    /// The obedient root's unit processing time `w_0`.
+    fn root_rate(&self) -> f64;
+    /// The fault-free protocol run.
+    fn base_run(&self) -> Result<RunReport, FtError>;
+    /// The node `P_k` sends its Phase I bid to (the Phase I detector).
+    fn parent(&self, k: NodeId) -> NodeId;
+    /// The first node `P_k` serves in Phase II, if any (the Phase II
+    /// detector and receiver).
+    fn first_child(&self, k: NodeId) -> Option<NodeId>;
+    /// The survivors' scenario, with `P_k` spliced out of the true-rate
+    /// network, and how the splice renumbered them.
+    fn without(&self, k: NodeId) -> (Self, Renumbering);
+    /// The network of the root's rate and the reported `bids`.
+    fn bid_network(&self, bids: &[f64]) -> Self::Net;
+    /// Splice position `si` out of `net`, and how that renumbered it.
+    fn splice(net: &Self::Net, si: usize) -> (Self::Net, Renumbering);
+    /// Per-unit-load makespan and absolute load shares, by position, of a
+    /// (possibly root-only) network.
+    fn allocation(net: &Self::Net) -> (f64, Vec<f64>);
+    /// The honest Phase IV payment of each `silent` node, from the root's
+    /// own recomputation of the base run's settlement.
+    fn silent_bills(&self, base: &RunReport, silent: &[NodeId]) -> Vec<f64>;
+}
+
+/// How one splice renumbered the surviving nodes.
+pub(crate) enum Renumbering {
+    /// Every node after the dead one moved up one place (a chain).
+    Shift(NodeId),
+    /// An arbitrary renumbering (a re-canonicalized tree).
+    Table {
+        /// `new_of[old]`: survivor index of each original node, `None` for
+        /// the dead one.
+        new_of: Vec<Option<usize>>,
+        /// `old_of[new]`: original index of each survivor.
+        old_of: Vec<usize>,
+    },
+}
+
+impl Renumbering {
+    /// The renumbering a `new_of` map describes.
+    pub(crate) fn table(new_of: Vec<Option<usize>>) -> Self {
+        let mut old_of = vec![0; new_of.len() - 1];
+        for (old, new) in new_of.iter().enumerate() {
+            if let Some(new) = new {
+                old_of[*new] = old;
+            }
+        }
+        Renumbering::Table { new_of, old_of }
+    }
+
+    /// Original index of survivor `new`.
+    fn original(&self, new: usize) -> usize {
+        match self {
+            Renumbering::Shift(dead) => unsplice(new, *dead),
+            Renumbering::Table { old_of, .. } => old_of[new],
+        }
+    }
+
+    /// Survivor index of original node `old`; `None` for the dead node.
+    fn survivor(&self, old: usize) -> Option<usize> {
+        match self {
+            Renumbering::Shift(dead) => (old != *dead).then(|| old - usize::from(old > *dead)),
+            Renumbering::Table { new_of, .. } => new_of[old],
+        }
+    }
+
+    /// Carry `orig_of` (original id of each position) across the splice.
+    fn compose(&self, orig_of: &mut Vec<usize>) {
+        match self {
+            Renumbering::Shift(dead) => {
+                orig_of.remove(*dead);
+            }
+            Renumbering::Table { old_of, .. } => {
+                *orig_of = old_of.iter().map(|&old| orig_of[old]).collect();
+            }
+        }
+    }
+}
+
+impl Topology for Scenario {
+    type Net = LinearNetwork;
+    const TRANSCRIPT: bool = true;
+
+    fn validate(&self) -> Result<(), ScenarioError> {
+        Scenario::validate(self)
+    }
+
+    fn num_agents(&self) -> usize {
+        self.true_rates.len()
+    }
+
+    fn root_rate(&self) -> f64 {
+        self.root_rate
+    }
+
+    fn base_run(&self) -> Result<RunReport, FtError> {
+        Ok(try_run(self)?)
+    }
+
+    fn parent(&self, k: NodeId) -> NodeId {
+        k - 1
+    }
+
+    fn first_child(&self, k: NodeId) -> Option<NodeId> {
+        (k < self.num_agents()).then_some(k + 1)
+    }
+
+    fn without(&self, k: NodeId) -> (Self, Renumbering) {
+        // Splice the chain of *true* rates; bids re-derive from the
+        // surviving nodes' deviations inside the survivor run.
+        let mut w = vec![self.root_rate];
+        w.extend_from_slice(&self.true_rates);
+        let spliced = linear::splice(&LinearNetwork::from_rates(&w, &self.link_rates), k);
+        let mut deviations = self.deviations.clone();
+        deviations.remove(k - 1);
+        let survivors = Scenario {
+            root_rate: self.root_rate,
+            true_rates: spliced.rates_w()[1..].to_vec(),
+            link_rates: spliced.rates_z().to_vec(),
+            deviations,
+            fine: self.fine,
+            blocks: self.blocks,
+            seed: self.seed,
+            solution_bonus: self.solution_bonus,
+            solution_found: self.solution_found,
+        };
+        (survivors, Renumbering::Shift(k))
+    }
+
+    fn bid_network(&self, bids: &[f64]) -> LinearNetwork {
+        LinearNetwork::new(
+            std::iter::once(self.root_rate)
+                .chain(bids.iter().copied())
+                .map(Processor::new)
+                .collect(),
+            self.link_rates.iter().copied().map(Link::new).collect(),
+        )
+    }
+
+    fn splice(net: &LinearNetwork, si: usize) -> (LinearNetwork, Renumbering) {
+        (linear::splice(net, si), Renumbering::Shift(si))
+    }
+
+    fn allocation(net: &LinearNetwork) -> (f64, Vec<f64>) {
+        allocation_of(net)
+    }
+
+    fn silent_bills(&self, base: &RunReport, silent: &[NodeId]) -> Vec<f64> {
+        let bid_net = self.bid_network(&base.bids);
+        let s = if self.solution_found {
+            self.solution_bonus
+        } else {
+            0.0
+        };
+        silent
+            .iter()
+            .map(|&k| {
+                let inputs = PaymentInputs {
+                    assigned_load: base.assigned[k],
+                    actual_load: base.retained[k],
+                    actual_rate: base.actual_rates[k - 1],
+                };
+                payment::settle(&bid_net, k, inputs, s).payment
+            })
+            .collect()
+    }
+}
+
+/// Detection rule: who notices `P_k` going silent in `phase` (see the
+/// module docs).
+pub(crate) fn detector_of<T: Topology>(t: &T, k: NodeId, phase: u8) -> NodeId {
     match phase {
-        1 => k - 1,
-        2 if k < m => k + 1,
+        1 => t.parent(k),
+        2 => t.first_child(k).unwrap_or(0),
         _ => 0,
     }
 }
 
 /// Receiver of `P_v`'s outbound message in `phase` — `None` when the node
-/// sends nothing in that phase (the terminal node in Phases II–III).
-pub(crate) fn receiver_of(v: NodeId, phase: u8, m: usize) -> Option<NodeId> {
+/// sends nothing in that phase (a terminal node in Phases II–III).
+fn receiver_of<T: Topology>(t: &T, v: NodeId, phase: u8) -> Option<NodeId> {
     match phase {
-        1 => Some(v - 1),
-        2 | 3 => (v < m).then_some(v + 1),
+        1 => Some(t.parent(v)),
+        2 | 3 => t.first_child(v),
         _ => Some(0),
     }
 }
 
+/// Record a detection timeout, if the topology keeps a transcript.
+fn record_timeout<T: Topology>(t: &mut Transcript, detector: NodeId, suspect: NodeId, phase: u8) {
+    if T::TRANSCRIPT {
+        t.record(Entry::Timeout {
+            detector,
+            suspect,
+            phase,
+        });
+    }
+}
+
 /// Per-unit-load makespan and absolute load shares of a (possibly
-/// root-only) network. Residual re-solves route through the batch solver
+/// root-only) chain. Residual re-solves route through the batch solver
 /// core (`dlt::batch::solve_one`), which is bit-identical to the scalar
 /// `linear::solve` by construction — E20/E22 report bytes are unchanged.
 pub(crate) fn allocation_of(net: &LinearNetwork) -> (f64, Vec<f64>) {
@@ -253,16 +462,21 @@ pub(crate) fn unsplice(i: usize, dead: NodeId) -> usize {
 
 /// Execute `scenario` under `plan`, recovering from the injected faults.
 pub fn run_with_faults(scenario: &Scenario, plan: &FaultPlan) -> Result<FtRunReport, FtError> {
-    scenario.validate()?;
-    let m = scenario.num_agents();
+    run(scenario, plan)
+}
+
+/// The engine's entry point, for any topology.
+pub(crate) fn run<T: Topology>(t: &T, plan: &FaultPlan) -> Result<FtRunReport, FtError> {
+    t.validate()?;
+    let m = t.num_agents();
     plan.validate(m)?;
     let timeout = plan.detection_timeout;
     let _ft_span = obs::span!("protocol.ft.run", "m" => m, "timeout" => timeout);
 
-    let base = try_run(scenario)?;
+    let base = t.base_run()?;
     let queue = plan.detection_order();
-    let mut report = recover(scenario, &base, &queue, timeout)?;
-    apply_message_faults(&mut report, plan, m);
+    let mut report = recover(t, &base, &queue, timeout)?;
+    apply_message_faults(t, &mut report, plan);
     Ok(report)
 }
 
@@ -271,26 +485,26 @@ pub fn run_with_faults(scenario: &Scenario, plan: &FaultPlan) -> Result<FtRunRep
 /// protocol and the remaining queue is recovered inside that re-run;
 /// Phase III/IV halts are serialized by
 /// [`compute_and_billing_recovery`].
-fn recover(
-    scenario: &Scenario,
+fn recover<T: Topology>(
+    t: &T,
     base: &RunReport,
     queue: &[FaultEvent],
     timeout: f64,
 ) -> Result<FtRunReport, FtError> {
-    let n = scenario.num_agents() + 1;
+    let n = t.num_agents() + 1;
     let identity_map: Vec<Option<usize>> = (0..n).map(Some).collect();
     match queue.first() {
-        None => Ok(healthy_report(scenario, base, identity_map)),
+        None => Ok(healthy_report(base, identity_map)),
         Some(&FaultEvent {
             node: k,
             kind: FaultKind::Crash {
                 phase: p @ (1 | 2), ..
             },
-        }) => pre_distribution_crash(scenario, base, k, p, &queue[1..], timeout),
+        }) => pre_distribution_crash(t, base, k, p, &queue[1..], timeout),
         // detection_order sorts by phase, so everything left is Phase
         // III/IV: crashes at phase 3 or 4, and stalls.
         _ => Ok(compute_and_billing_recovery(
-            scenario,
+            t,
             base,
             queue,
             timeout,
@@ -300,12 +514,7 @@ fn recover(
 }
 
 /// No halting fault: the base run, wrapped.
-pub(crate) fn healthy_report(
-    scenario: &Scenario,
-    base: &RunReport,
-    splice_map: Vec<Option<usize>>,
-) -> FtRunReport {
-    let n = scenario.num_agents() + 1;
+pub(crate) fn healthy_report(base: &RunReport, splice_map: Vec<Option<usize>>) -> FtRunReport {
     FtRunReport {
         crashed: Vec::new(),
         stalled: Vec::new(),
@@ -313,7 +522,7 @@ pub(crate) fn healthy_report(
         assigned: base.assigned.clone(),
         completed: base.retained.clone(),
         recovered_load: 0.0,
-        recovery_assigned: vec![0.0; n],
+        recovery_assigned: vec![0.0; splice_map.len()],
         makespan: base.makespan,
         base_makespan: base.makespan,
         arbitrations: base.arbitrations.clone(),
@@ -327,26 +536,22 @@ pub(crate) fn healthy_report(
 }
 
 /// Crash in Phase I or II: nothing was distributed; splice and re-run the
-/// whole protocol on the survivor chain — recovering the remaining faults
-/// of `rest` *inside* that re-run — then renumber back.
-fn pre_distribution_crash(
-    scenario: &Scenario,
+/// whole protocol on the survivors — recovering the remaining faults of
+/// `rest` *inside* that re-run — then renumber back.
+fn pre_distribution_crash<T: Topology>(
+    t: &T,
     base: &RunReport,
     k: NodeId,
     phase: u8,
     rest: &[FaultEvent],
     timeout: f64,
 ) -> Result<FtRunReport, FtError> {
-    let m = scenario.num_agents();
+    let m = t.num_agents();
     let n = m + 1;
 
-    let detector = detector_of(k, phase, m);
+    let detector = detector_of(t, k, phase);
     let mut transcript = Transcript::new();
-    transcript.record(Entry::Timeout {
-        detector,
-        suspect: k,
-        phase,
-    });
+    record_timeout::<T>(&mut transcript, detector, k, phase);
     let mut arbitrations = vec![arbitrate_unresponsive(detector, k, false)];
     let mut detected = vec![(detector, k, phase)];
 
@@ -372,14 +577,16 @@ fn pre_distribution_crash(
         // load itself at rate w_0. (`rest` is necessarily empty — the only
         // strategic node is the one that crashed.)
         debug_assert!(rest.is_empty());
-        transcript.record(Entry::Recovery {
-            dead: k,
-            residual: 0.0,
-            reassigned: vec![(0, 1.0)],
-        });
+        if T::TRANSCRIPT {
+            transcript.record(Entry::Recovery {
+                dead: k,
+                residual: 0.0,
+                reassigned: vec![(0, 1.0)],
+            });
+        }
         let mut assigned = vec![0.0; n];
         assigned[0] = 1.0;
-        let root_span = clock.advance(scenario.root_rate);
+        let root_span = clock.advance(t.root_rate());
         timeline.push(0, 3, obs::TimelineKind::Recovery, root_span, 1.0);
         timeline.makespan = clock.now();
         return Ok(FtRunReport {
@@ -396,50 +603,27 @@ fn pre_distribution_crash(
             ledger: Ledger::new(),
             net_utilities: vec![0.0],
             transcript,
-            splice_map: (0..n)
-                .map(|i| {
-                    if i == k {
-                        None
-                    } else {
-                        Some(if i < k { i } else { i - 1 })
-                    }
-                })
-                .collect(),
+            splice_map: vec![Some(0), None],
             events: 0,
             timeline,
         });
     }
 
-    // Splice the chain of *true* rates; bids re-derive from the surviving
-    // nodes' deviations inside the inner run.
-    let mut w = vec![scenario.root_rate];
-    w.extend_from_slice(&scenario.true_rates);
-    let spliced = linear::splice(&LinearNetwork::from_rates(&w, &scenario.link_rates), k);
-    let mut deviations = scenario.deviations.clone();
-    deviations.remove(k - 1);
-    let inner_scenario = Scenario {
-        root_rate: scenario.root_rate,
-        true_rates: spliced.rates_w()[1..].to_vec(),
-        link_rates: spliced.rates_z().to_vec(),
-        deviations,
-        fine: scenario.fine,
-        blocks: scenario.blocks,
-        seed: scenario.seed,
-        solution_bonus: scenario.solution_bonus,
-        solution_found: scenario.solution_found,
-    };
-    // The remaining faults, renumbered to the spliced chain, are recovered
-    // *inside* the survivor re-run: recovery-during-recovery re-enters the
-    // splice path.
+    let (survivors, cut) = t.without(k);
+    // The remaining faults, renumbered to the spliced network, are
+    // recovered *inside* the survivor re-run: recovery-during-recovery
+    // re-enters the splice path.
     let inner_rest: Vec<FaultEvent> = rest
         .iter()
         .map(|e| FaultEvent {
-            node: if e.node > k { e.node - 1 } else { e.node },
+            node: cut
+                .survivor(e.node)
+                .expect("remaining faults strike survivors"),
             kind: e.kind,
         })
         .collect();
-    let inner_base = try_run(&inner_scenario)?;
-    let inner = recover(&inner_scenario, &inner_base, &inner_rest, timeout)?;
+    let inner_base = survivors.base_run()?;
+    let inner = recover(&survivors, &inner_base, &inner_rest, timeout)?;
     obs::event!(
         "protocol.ft.residual_resolve",
         vt = clock.now(),
@@ -448,39 +632,33 @@ fn pre_distribution_crash(
     );
     let recovery_span = clock.advance(inner.makespan);
     // The survivor protocol's Phase III work, shifted past the timeout and
-    // renumbered to the original chain. A nested recovery's own timeout,
+    // renumbered to the original network. A nested recovery's own timeout,
     // splice and recovery spans pass through the same shift.
     for s in &inner.timeline.spans {
+        let shifted = (recovery_span.0 + s.start, recovery_span.0 + s.end);
+        let node = cut.original(s.node);
         match s.kind {
-            obs::TimelineKind::Work if s.phase == 3 => timeline.push(
-                unsplice(s.node, k),
-                3,
-                obs::TimelineKind::Recovery,
-                (recovery_span.0 + s.start, recovery_span.0 + s.end),
-                s.load,
-            ),
+            obs::TimelineKind::Work if s.phase == 3 => {
+                timeline.push(node, 3, obs::TimelineKind::Recovery, shifted, s.load)
+            }
             obs::TimelineKind::Work => {}
-            kind => timeline.push(
-                unsplice(s.node, k),
-                s.phase,
-                kind,
-                (recovery_span.0 + s.start, recovery_span.0 + s.end),
-                s.load,
-            ),
+            kind => timeline.push(node, s.phase, kind, shifted, s.load),
         }
     }
     timeline.makespan = clock.now();
 
-    transcript.record(Entry::Recovery {
-        dead: k,
-        residual: 0.0,
-        reassigned: inner
-            .assigned
-            .iter()
-            .enumerate()
-            .map(|(si, &a)| (unsplice(si, k), a))
-            .collect(),
-    });
+    if T::TRANSCRIPT {
+        transcript.record(Entry::Recovery {
+            dead: k,
+            residual: 0.0,
+            reassigned: inner
+                .assigned
+                .iter()
+                .enumerate()
+                .map(|(si, &a)| (cut.original(si), a))
+                .collect(),
+        });
+    }
     for e in inner.transcript.entries() {
         transcript.record(e.clone());
     }
@@ -490,42 +668,37 @@ fn pre_distribution_crash(
     let mut completed = vec![0.0; n];
     let mut recovery_assigned = vec![0.0; n];
     for si in 0..inner.assigned.len() {
-        assigned[unsplice(si, k)] = inner.assigned[si];
-        completed[unsplice(si, k)] = inner.completed[si];
-        recovery_assigned[unsplice(si, k)] = inner.recovery_assigned[si];
+        let i = cut.original(si);
+        assigned[i] = inner.assigned[si];
+        completed[i] = inner.completed[si];
+        recovery_assigned[i] = inner.recovery_assigned[si];
     }
     let mut ledger = Ledger::new();
     for e in inner.ledger.entries() {
-        ledger.post(unsplice(e.node, k), e.kind, e.amount, e.phase);
+        ledger.post(cut.original(e.node), e.kind, e.amount, e.phase);
     }
     arbitrations.extend(inner.arbitrations.iter().map(|a| ArbitrationRecord {
-        claimant: unsplice(a.claimant, k),
-        accused: unsplice(a.accused, k),
+        claimant: cut.original(a.claimant),
+        accused: cut.original(a.accused),
         ..a.clone()
     }));
     detected.extend(
         inner
             .detected
             .iter()
-            .map(|&(d, s, p)| (unsplice(d, k), unsplice(s, k), p)),
+            .map(|&(d, s, p)| (cut.original(d), cut.original(s), p)),
     );
     let mut net_utilities = vec![0.0; m];
     for sj in 1..=m - 1 {
-        net_utilities[unsplice(sj, k) - 1] = inner.net_utilities[sj - 1];
+        net_utilities[cut.original(sj) - 1] = inner.net_utilities[sj - 1];
     }
 
     let mut crashed = vec![k];
-    crashed.extend(inner.crashed.iter().map(|&c| unsplice(c, k)));
-    let stalled: Vec<NodeId> = inner.stalled.iter().map(|&st| unsplice(st, k)).collect();
+    crashed.extend(inner.crashed.iter().map(|&c| cut.original(c)));
+    let stalled: Vec<NodeId> = inner.stalled.iter().map(|&s| cut.original(s)).collect();
     // Compose the outer splice with whatever the inner recovery spliced.
     let splice_map: Vec<Option<usize>> = (0..n)
-        .map(|i| {
-            if i == k {
-                None
-            } else {
-                inner.splice_map[if i < k { i } else { i - 1 }]
-            }
-        })
+        .map(|i| cut.survivor(i).and_then(|si| inner.splice_map[si]))
         .collect();
 
     Ok(FtRunReport {
@@ -551,19 +724,20 @@ fn pre_distribution_crash(
 /// Serialized recovery of every Phase III halt (crash or stall) followed
 /// by the simultaneous settlement of every Phase IV crash.
 ///
-/// Each Phase III halt costs one detection timeout, fuses the dead node
-/// out of the running bid chain, and re-solves its unfinished work on the
-/// remaining survivors; the next halt in detection order strikes during
-/// that recovery round. Phase IV crashes share a single timeout window —
-/// their billing timers fire concurrently — and are arbitrated as a batch.
-fn compute_and_billing_recovery(
-    scenario: &Scenario,
+/// Each Phase III halt costs one detection timeout, splices the dead node
+/// out of the running bid network, and re-solves its unfinished work on
+/// the remaining survivors; the next halt in detection order strikes
+/// during that recovery round. Phase IV crashes share a single timeout
+/// window — their billing timers fire concurrently — and are arbitrated as
+/// a batch.
+fn compute_and_billing_recovery<T: Topology>(
+    t: &T,
     base: &RunReport,
     queue: &[FaultEvent],
     timeout: f64,
     splice_map: Vec<Option<usize>>,
 ) -> FtRunReport {
-    let m = scenario.num_agents();
+    let m = t.num_agents();
     let n = m + 1;
 
     let mut transcript = base.transcript.clone();
@@ -579,12 +753,10 @@ fn compute_and_billing_recovery(
     let mut recovery_assigned = vec![0.0; n];
     let mut recovered_load = 0.0;
 
-    // The running spliced *bid* chain — recovery allocation is a Phase II
-    // re-solve on reported rates — and the original index of each
+    // The running spliced *bid* network — recovery allocation is a Phase
+    // II re-solve on reported rates — and the original index of each
     // surviving position.
-    let mut bid_w = vec![scenario.root_rate];
-    bid_w.extend_from_slice(&base.bids);
-    let mut net = LinearNetwork::from_rates(&bid_w, &scenario.link_rates);
+    let mut net = t.bid_network(&base.bids);
     let mut orig_of: Vec<usize> = (0..n).collect();
     // What each node is working on in the current round: `None` is the
     // base Phase III round (work = base.retained); after a splice it is
@@ -595,9 +767,10 @@ fn compute_and_billing_recovery(
         .iter()
         .filter(|e| e.kind.halt_phase() == Some(3))
         .collect();
-    let phase4: Vec<&FaultEvent> = queue
+    let phase4: Vec<NodeId> = queue
         .iter()
         .filter(|e| e.kind.halt_phase() == Some(4))
+        .map(|e| e.node)
         .collect();
     debug_assert_eq!(phase3.len() + phase4.len(), queue.len());
 
@@ -627,12 +800,8 @@ fn compute_and_billing_recovery(
             }
         };
 
-        let detector = detector_of(k, 3, m);
-        transcript.record(Entry::Timeout {
-            detector,
-            suspect: k,
-            phase: 3,
-        });
+        let detector = detector_of(t, k, 3);
+        record_timeout::<T>(&mut transcript, detector, k, 3);
         arbitrations.push(arbitrate_unresponsive(detector, k, alive));
         detected.push((detector, k, 3));
         if alive {
@@ -646,15 +815,16 @@ fn compute_and_billing_recovery(
         obs::hist!("protocol.ft.timeout_wait", timeout, "phase" => 3u8);
         obs::event!("protocol.ft.splice", vt = clock.now(), "dead" => k, "phase" => 3u8);
 
-        // Fuse the halted node out of the running survivor chain and
+        // Splice the halted node out of the running survivor network and
         // re-solve its unfinished work.
         let si_k = orig_of
             .iter()
             .position(|&o| o == k)
-            .expect("halted node is on the survivor chain");
-        net = linear::splice(&net, si_k);
-        orig_of.remove(si_k);
-        let (per_unit_makespan, shares) = allocation_of(&net);
+            .expect("halted node is on the survivor network");
+        let (spliced, cut) = T::splice(&net, si_k);
+        net = spliced;
+        cut.compose(&mut orig_of);
+        let (per_unit_makespan, shares) = T::allocation(&net);
         obs::event!(
             "protocol.ft.residual_resolve",
             vt = clock.now(),
@@ -664,20 +834,19 @@ fn compute_and_billing_recovery(
         );
 
         let mut round = vec![0.0; n];
-        let mut reassigned = Vec::with_capacity(shares.len());
-        for (si, &share) in shares.iter().enumerate() {
-            let orig = orig_of[si];
+        for (&orig, &share) in orig_of.iter().zip(&shares) {
             let extra = residual * share;
             recovery_assigned[orig] += extra;
             completed[orig] += extra;
             round[orig] = extra;
-            reassigned.push((orig, extra));
         }
-        transcript.record(Entry::Recovery {
-            dead: k,
-            residual,
-            reassigned,
-        });
+        if T::TRANSCRIPT {
+            transcript.record(Entry::Recovery {
+                dead: k,
+                residual,
+                reassigned: orig_of.iter().map(|&orig| (orig, round[orig])).collect(),
+            });
+        }
 
         let recovery_span = clock.advance(residual * per_unit_makespan);
         timeline.push(detector, 3, obs::TimelineKind::Timeout, timeout_span, 0.0);
@@ -696,14 +865,9 @@ fn compute_and_billing_recovery(
     if !phase4.is_empty() {
         let timeout_span = clock.advance(timeout);
         let mut probes = Vec::with_capacity(phase4.len());
-        for e in &phase4 {
-            let k = e.node;
-            let detector = detector_of(k, 4, m);
-            transcript.record(Entry::Timeout {
-                detector,
-                suspect: k,
-                phase: 4,
-            });
+        for &k in &phase4 {
+            let detector = detector_of(t, k, 4);
+            record_timeout::<T>(&mut transcript, detector, k, 4);
             detected.push((detector, k, 4));
             crashed.push(k);
             obs::count!("protocol.ft.detection_timeouts", "phase" => 4u8);
@@ -729,27 +893,9 @@ fn compute_and_billing_recovery(
         ledger.post(k, EntryKind::Payment, pr.payment, 4);
         pro_rata_of[k] = Some(pr);
     }
-    let mut settled_of: Vec<Option<PaymentBreakdown>> = vec![None; n];
     if !phase4.is_empty() {
-        let bid_net = LinearNetwork::from_rates(&bid_w, &scenario.link_rates);
-        let s = if scenario.solution_found {
-            scenario.solution_bonus
-        } else {
-            0.0
-        };
-        for e in &phase4 {
-            let k = e.node;
-            let honest = payment::settle(
-                &bid_net,
-                k,
-                PaymentInputs {
-                    assigned_load: base.assigned[k],
-                    actual_load: base.retained[k],
-                    actual_rate: base.actual_rates[k - 1],
-                },
-                s,
-            );
-            ledger.post(k, EntryKind::Payment, honest.payment, 4);
+        for (&k, bill) in phase4.iter().zip(t.silent_bills(base, &phase4)) {
+            ledger.post(k, EntryKind::Payment, bill, 4);
             if recovery_assigned[k] > 0.0 {
                 // A Phase IV casualty that performed recovery work earlier
                 // is paid that wage too — it finished it before dying.
@@ -760,7 +906,6 @@ fn compute_and_billing_recovery(
                     4,
                 );
             }
-            settled_of[k] = Some(honest);
         }
     }
     for j in 1..=m {
@@ -781,20 +926,21 @@ fn compute_and_billing_recovery(
     let mut net_utilities;
     if phase3.is_empty() {
         net_utilities = base.net_utilities.clone();
-        for e in &phase4 {
-            let k = e.node;
-            let honest = settled_of[k].as_ref().expect("settled above");
-            net_utilities[k - 1] = honest.valuation + ledger.net(k);
+        for &k in &phase4 {
+            let valuation = payment::valuation(base.retained[k], base.actual_rates[k - 1]);
+            net_utilities[k - 1] = valuation + ledger.net(k);
         }
     } else {
         net_utilities = vec![0.0; m];
         for j in 1..=m {
             let valuation = if let Some(pr) = &pro_rata_of[j] {
                 pr.valuation
-            } else if let Some(honest) = &settled_of[j] {
-                honest.valuation - recovery_assigned[j] * base.actual_rates[j - 1]
             } else {
-                let base_valuation = base.net_utilities[j - 1] - base.ledger.net(j);
+                let base_valuation = if phase4.contains(&j) {
+                    payment::valuation(base.retained[j], base.actual_rates[j - 1])
+                } else {
+                    base.net_utilities[j - 1] - base.ledger.net(j)
+                };
                 base_valuation - recovery_assigned[j] * base.actual_rates[j - 1]
             };
             net_utilities[j - 1] = valuation + ledger.net(j);
@@ -829,7 +975,7 @@ fn compute_and_billing_recovery(
 /// already the halting faults' story. Corrupted messages never enter the
 /// transcript: only the retransmitted, well-signed copy is recorded, so
 /// replay cannot incriminate the sender.
-pub(crate) fn apply_message_faults(report: &mut FtRunReport, plan: &FaultPlan, m: usize) {
+pub(crate) fn apply_message_faults<T: Topology>(t: &T, report: &mut FtRunReport, plan: &FaultPlan) {
     // Message-fault overhead accrues on the same clock the halting-fault
     // path ended on.
     let mut clock = obs::RunClock::starting_at(report.makespan);
@@ -839,7 +985,7 @@ pub(crate) fn apply_message_faults(report: &mut FtRunReport, plan: &FaultPlan, m
         }
         match event.kind {
             FaultKind::DropMessage { phase } | FaultKind::CorruptMessage { phase } => {
-                let Some(receiver) = receiver_of(event.node, phase, m) else {
+                let Some(receiver) = receiver_of(t, event.node, phase) else {
                     continue;
                 };
                 let wait = clock.advance(plan.detection_timeout);
@@ -849,18 +995,14 @@ pub(crate) fn apply_message_faults(report: &mut FtRunReport, plan: &FaultPlan, m
                     .timeline
                     .push(receiver, phase, obs::TimelineKind::Timeout, wait, 0.0);
                 report.makespan = clock.now();
-                report.transcript.record(Entry::Timeout {
-                    detector: receiver,
-                    suspect: event.node,
-                    phase,
-                });
+                record_timeout::<T>(&mut report.transcript, receiver, event.node, phase);
                 report.detected.push((receiver, event.node, phase));
                 report
                     .arbitrations
                     .push(arbitrate_unresponsive(receiver, event.node, true));
             }
             FaultKind::DelayMessage { phase, delay } => {
-                if receiver_of(event.node, phase, m).is_some() {
+                if receiver_of(t, event.node, phase).is_some() {
                     clock.advance(delay);
                     report.makespan = clock.now();
                 }

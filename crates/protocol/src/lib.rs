@@ -20,16 +20,16 @@
 //!   with deviations injected, caught, and fined.
 //! * [`faults`] — deterministic, seeded fault plans: crash-stop, stalls,
 //!   message drops/delays/corruption.
-//! * [`ft_runner`] — fault-tolerant execution: timeout detection,
-//!   chain-splice recovery of cascading and simultaneous failures,
-//!   pro-rata settlement of failed nodes, and the no-fault extension of
-//!   Lemma 5.2 (no honest survivor is ever fined under any injected
-//!   fault).
+//! * [`ft_runner`] — the one fault-recovery engine, for chains and trees:
+//!   timeout detection, splice recovery of cascading and simultaneous
+//!   failures, pro-rata settlement of failed nodes, and the no-fault
+//!   extension of Lemma 5.2 (no honest survivor is ever fined under any
+//!   injected fault).
 //! * [`ft_reference`] — the frozen PR 1 single-failure recovery path,
 //!   kept as a byte-identical differential-testing reference.
-//! * [`ft_tree_runner`] — fault-tolerant execution on **tree** networks:
-//!   subtree re-attachment recovery (`dlt::tree::splice_node`), with
-//!   degenerate paths delegating byte-for-byte to [`ft_runner`].
+//! * [`ft_tree_runner`] — the engine's tree topology: subtree
+//!   re-attachment recovery (`dlt::tree::splice_node`), with degenerate
+//!   paths delegating byte-for-byte to the chain topology.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -62,4 +62,4 @@ pub use messages::{Bill, Complaint, GMessage, PaymentProof};
 pub use root::{arbitrate, arbitrate_unresponsive, ArbitrationContext, ArbitrationRecord};
 pub use runner::{run, try_run, RunReport, Scenario, ScenarioError};
 pub use transcript::{replay, Finding, FindingKind, Transcript};
-pub use tree_runner::{run_tree, TreeArbitration, TreeRunReport, TreeScenario};
+pub use tree_runner::{run_tree, TreeRunReport, TreeScenario};

@@ -139,6 +139,44 @@ fn check_positive(field: &'static str, index: usize, value: f64) -> Result<(), S
     }
 }
 
+/// Check what every protocol run relies on, chain or tree: one true rate,
+/// link and deviation per agent, finite positive rates, `q ∈ [0, 1]` and a
+/// finite, non-negative fine. `link_rates[j-1]` is the link into `P_j`.
+pub(crate) fn check_inputs(
+    root_rate: f64,
+    true_rates: &[f64],
+    link_rates: &[f64],
+    deviations: usize,
+    fine: &FineSchedule,
+) -> Result<(), ScenarioError> {
+    let m = true_rates.len();
+    if m == 0 {
+        return Err(ScenarioError::NoAgents);
+    }
+    if link_rates.len() != m || deviations != m {
+        return Err(ScenarioError::LengthMismatch {
+            true_rates: m,
+            link_rates: link_rates.len(),
+            deviations,
+        });
+    }
+    check_positive("root_rate", 0, root_rate)?;
+    for (i, &t) in true_rates.iter().enumerate() {
+        check_positive("true_rates", i, t)?;
+    }
+    for (i, &z) in link_rates.iter().enumerate() {
+        check_positive("link_rates", i, z)?;
+    }
+    let q = fine.audit_probability;
+    if !(q.is_finite() && (0.0..=1.0).contains(&q)) {
+        return Err(ScenarioError::BadAuditProbability(q));
+    }
+    if !(fine.base.is_finite() && fine.base >= 0.0) {
+        return Err(ScenarioError::BadFine(fine.base));
+    }
+    Ok(())
+}
+
 impl Scenario {
     /// A fully honest scenario over the given chain.
     ///
@@ -207,31 +245,13 @@ impl Scenario {
     /// this before touching any state; a scenario that passes cannot make
     /// the run itself divide by zero or propagate NaNs from its inputs.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        let m = self.true_rates.len();
-        if m == 0 {
-            return Err(ScenarioError::NoAgents);
-        }
-        if self.link_rates.len() != m || self.deviations.len() != m {
-            return Err(ScenarioError::LengthMismatch {
-                true_rates: m,
-                link_rates: self.link_rates.len(),
-                deviations: self.deviations.len(),
-            });
-        }
-        check_positive("root_rate", 0, self.root_rate)?;
-        for (i, &t) in self.true_rates.iter().enumerate() {
-            check_positive("true_rates", i, t)?;
-        }
-        for (i, &z) in self.link_rates.iter().enumerate() {
-            check_positive("link_rates", i, z)?;
-        }
-        let q = self.fine.audit_probability;
-        if !(q.is_finite() && (0.0..=1.0).contains(&q)) {
-            return Err(ScenarioError::BadAuditProbability(q));
-        }
-        if !(self.fine.base.is_finite() && self.fine.base >= 0.0) {
-            return Err(ScenarioError::BadFine(self.fine.base));
-        }
+        check_inputs(
+            self.root_rate,
+            &self.true_rates,
+            &self.link_rates,
+            self.deviations.len(),
+            &self.fine,
+        )?;
         if !(self.solution_bonus.is_finite() && self.solution_bonus >= 0.0) {
             return Err(ScenarioError::BadSolutionBonus(self.solution_bonus));
         }

@@ -12,11 +12,12 @@
 //! children themselves, so the parent cannot tell different stories to
 //! different children without producing attributable evidence.
 
-use crate::crypto::{Dsm, NodeId, Registry};
+use crate::crypto::{Dsm, Registry};
 use crate::deviation::Deviation;
 use crate::lambda::BlockMint;
 use crate::ledger::{EntryKind, Ledger};
-use crate::root::ARBITRATION_TOL;
+use crate::root::{ArbitrationRecord, ARBITRATION_TOL};
+use crate::runner::{check_inputs, ScenarioError};
 use dlt::model::TreeNode;
 use dlt::star;
 use mechanism::dls_tree::TreeMechanism;
@@ -85,19 +86,23 @@ impl TreeScenario {
     pub fn num_agents(&self) -> usize {
         self.true_rates.len()
     }
-}
 
-/// A recorded grievance in a tree run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TreeArbitration {
-    /// Complaining node (flat id).
-    pub claimant: NodeId,
-    /// Accused node (flat id).
-    pub accused: NodeId,
-    /// Complaint label.
-    pub complaint: String,
-    /// Verdict.
-    pub substantiated: bool,
+    /// Check every numeric input the tree protocol relies on, over the
+    /// same domain as [`crate::Scenario::validate`]. The link into agent
+    /// `P_j` is reported as `link_rates[j-1]`.
+    pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
+        check_inputs(
+            self.shape.processor.w,
+            &self.true_rates,
+            &flatten(&self.shape).z_in[1..],
+            self.deviations.len(),
+            &self.fine,
+        )?;
+        if self.blocks == 0 {
+            return Err(ScenarioError::ZeroBlocks);
+        }
+        Ok(())
+    }
 }
 
 /// Result of a tree protocol run.
@@ -113,7 +118,7 @@ pub struct TreeRunReport {
     /// Load that physically arrived at each node.
     pub received: Vec<f64>,
     /// Grievance records.
-    pub arbitrations: Vec<TreeArbitration>,
+    pub arbitrations: Vec<ArbitrationRecord>,
     /// The ledger.
     pub ledger: Ledger,
     /// Realized makespan of Phase III.
@@ -137,7 +142,7 @@ impl TreeRunReport {
     }
 
     /// Substantiated grievances.
-    pub fn convictions(&self) -> impl Iterator<Item = &TreeArbitration> {
+    pub fn convictions(&self) -> impl Iterator<Item = &ArbitrationRecord> {
         self.arbitrations.iter().filter(|a| a.substantiated)
     }
 }
@@ -183,7 +188,7 @@ pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
     let registry = Registry::new(n, scenario.seed);
     let mint = BlockMint::new(scenario.blocks, scenario.seed ^ 0x5EED_B10C);
     let mut ledger = Ledger::new();
-    let mut arbitrations: Vec<TreeArbitration> = Vec::new();
+    let mut arbitrations: Vec<ArbitrationRecord> = Vec::new();
     let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x7A0D17);
 
     let root_rate = scenario.shape.processor.w;
@@ -249,11 +254,13 @@ pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
                 ledger.post(j, EntryKind::Fine, -fine, 1);
                 ledger.post(claimant, EntryKind::Reward, fine, 1);
             }
-            arbitrations.push(TreeArbitration {
+            arbitrations.push(ArbitrationRecord {
                 claimant,
                 accused: j,
                 complaint: "contradiction".into(),
                 substantiated,
+                fine: if substantiated { fine } else { 0.0 },
+                extra_penalty: 0.0,
             });
         }
     }
@@ -345,11 +352,13 @@ pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
         if !ok {
             ledger.post(p, EntryKind::Fine, -fine, 2);
             ledger.post(c, EntryKind::Reward, fine, 2);
-            arbitrations.push(TreeArbitration {
+            arbitrations.push(ArbitrationRecord {
                 claimant: c,
                 accused: p,
                 complaint: "bad-computation".into(),
                 substantiated: true,
+                fine,
+                extra_penalty: 0.0,
             });
         }
     }
@@ -360,11 +369,13 @@ pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
             let accused = flat.parent[j].expect("non-root");
             ledger.post(j, EntryKind::Fine, -fine, 2);
             ledger.post(accused, EntryKind::Reward, fine, 2);
-            arbitrations.push(TreeArbitration {
+            arbitrations.push(ArbitrationRecord {
                 claimant: j,
                 accused,
                 complaint: "unfounded".into(),
                 substantiated: false,
+                fine,
+                extra_penalty: 0.0,
             });
         }
     }
@@ -415,17 +426,22 @@ pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
             let tag = mint.range(scenario.blocks - recv_blocks, recv_blocks);
             let proven = mint.verify(&tag).unwrap_or(0.0);
             let substantiated = proven > d[c] + half_block;
-            if substantiated {
+            let (levied, extra) = if substantiated {
                 let extra = (proven - d[c]) * actual[c];
                 ledger.post(p, EntryKind::Fine, -fine, 3);
                 ledger.post(p, EntryKind::ExtraWorkPenalty, -extra, 3);
                 ledger.post(c, EntryKind::Reward, fine, 3);
-            }
-            arbitrations.push(TreeArbitration {
+                (fine, extra)
+            } else {
+                (0.0, 0.0)
+            };
+            arbitrations.push(ArbitrationRecord {
                 claimant: c,
                 accused: p,
                 complaint: "overload".into(),
                 substantiated,
+                fine: levied,
+                extra_penalty: extra,
             });
         }
     }
@@ -475,11 +491,13 @@ pub fn run_tree(scenario: &TreeScenario) -> TreeRunReport {
             );
             ledger.post(j, EntryKind::Fine, -scenario.fine.overcharge_fine(), 4);
             ledger.post(j, EntryKind::Payment, honest_bill, 4);
-            arbitrations.push(TreeArbitration {
+            arbitrations.push(ArbitrationRecord {
                 claimant: 0,
                 accused: j,
                 complaint: "overcharge".into(),
                 substantiated: true,
+                fine: scenario.fine.overcharge_fine(),
+                extra_penalty: 0.0,
             });
         } else {
             ledger.post(j, EntryKind::Payment, billed, 4);

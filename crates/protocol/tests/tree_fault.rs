@@ -9,7 +9,7 @@
 //! * **No honest survivor is ever fined** (the tree extension of the
 //!   fault-tolerant Lemma 5.2 corollary).
 //! * **Deterministic replay** — the same `(TreeScenario, FaultPlan)` pair
-//!   yields a byte-identical `FtTreeRunReport`.
+//!   yields a byte-identical report.
 //! * **Pro-rata settlement** — a mid-computation halt on a branching tree
 //!   lands at exactly zero net utility.
 //!
@@ -23,11 +23,9 @@
 use dlt::model::{LinearNetwork, TreeNode};
 use mechanism::payment;
 use proptest::prelude::*;
-use protocol::ft_tree_runner::FtTreeRunReport;
-use protocol::tree_runner::TreeArbitration;
 use protocol::{
-    run_tree_with_faults, run_with_faults, run_with_faults_single, FaultKind, FaultPlan,
-    FtRunReport, Scenario, TreeScenario,
+    run_tree_with_faults, run_with_faults, run_with_faults_single, FaultKind, FaultPlan, Scenario,
+    TreeScenario,
 };
 use workloads::{
     cascade_grid, crash_pair_grid, multi_label, seeded_multi_cases, tree_shape_grid, FaultCase,
@@ -77,35 +75,6 @@ fn chain_of_path(s: &TreeScenario) -> Scenario {
         .with_seed(s.seed)
 }
 
-/// Independent rebuild of the chain→tree report embedding.
-fn expect_of_chain(r: FtRunReport) -> FtTreeRunReport {
-    FtTreeRunReport {
-        crashed: r.crashed,
-        stalled: r.stalled,
-        detected: r.detected,
-        assigned: r.assigned,
-        completed: r.completed,
-        recovered_load: r.recovered_load,
-        recovery_assigned: r.recovery_assigned,
-        makespan: r.makespan,
-        base_makespan: r.base_makespan,
-        arbitrations: r
-            .arbitrations
-            .iter()
-            .map(|a| TreeArbitration {
-                claimant: a.claimant,
-                accused: a.accused,
-                complaint: a.complaint.clone(),
-                substantiated: a.substantiated,
-            })
-            .collect(),
-        ledger: r.ledger,
-        net_utilities: r.net_utilities,
-        splice_map: r.splice_map,
-        timeline: r.timeline,
-    }
-}
-
 fn is_path(node: &TreeNode) -> bool {
     node.children.len() <= 1 && node.children.iter().all(|(_, c)| is_path(c))
 }
@@ -116,18 +85,17 @@ fn assert_path_matches_chain(s: &TreeScenario, plan: &FaultPlan, tag: &str) {
     let tree = run_tree_with_faults(s, plan).expect("valid plan");
     let chain = chain_of_path(s);
     let lin = run_with_faults(&chain, plan).expect("valid plan");
-    let expected = expect_of_chain(lin);
     assert_eq!(
         format!("{tree:?}"),
-        format!("{expected:?}"),
+        format!("{lin:?}"),
         "{tag}: tree engine diverged from ft_runner on a path"
     );
-    assert_eq!(tree, expected, "{tag}: PartialEq divergence");
+    assert_eq!(tree, lin, "{tag}: PartialEq divergence");
     if plan.halting_faults().count() <= 1 {
         let frozen = run_with_faults_single(&chain, plan).expect("valid plan");
         assert_eq!(
             format!("{tree:?}"),
-            format!("{:?}", expect_of_chain(frozen)),
+            format!("{frozen:?}"),
             "{tag}: tree engine diverged from the frozen PR 1 reference"
         );
     }
@@ -287,7 +255,8 @@ fn internal_crash_reattaches_subtrees_on_every_grid_shape() {
             assert!(ft.load_conserved(1e-9), "{} k={k}", case.label);
             assert_eq!(ft.completed[k], 0.0);
             assert_eq!(ft.splice_map[k], None);
-            let spliced = dlt::tree::splice_node(&with_true_rates(&s), k);
+            let true_tree = dlt::tree::with_agent_rates(&s.shape, &s.true_rates);
+            let spliced = dlt::tree::splice_node(&true_tree, k);
             let shares = if spliced.tree.size() == 1 {
                 vec![1.0]
             } else {
@@ -306,26 +275,4 @@ fn internal_crash_reattaches_subtrees_on_every_grid_shape() {
             }
         }
     }
-}
-
-/// The scenario's shape with the *true* rates substituted at the agents.
-fn with_true_rates(s: &TreeScenario) -> TreeNode {
-    fn rebuild(node: &TreeNode, rates: &[f64], next: &mut usize, is_root: bool) -> TreeNode {
-        let w = if is_root {
-            node.processor.w
-        } else {
-            let r = rates[*next];
-            *next += 1;
-            r
-        };
-        TreeNode {
-            processor: dlt::model::Processor::new(w),
-            children: node
-                .children
-                .iter()
-                .map(|(l, c)| (dlt::model::Link::new(l.z), rebuild(c, rates, next, false)))
-                .collect(),
-        }
-    }
-    rebuild(&s.shape, &s.true_rates, &mut 0, true)
 }

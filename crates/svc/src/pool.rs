@@ -267,16 +267,24 @@ mod tests {
         let queue = Arc::new(BoundedQueue::new(32));
         let pool = WorkerPool::spawn(3, Arc::clone(&queue), Arc::clone(&ctx));
         let (tx, rx) = mpsc::channel();
-        for _ in 0..10 {
+        let push = |tx: &mpsc::Sender<String>| {
             queue
                 .try_push(solve_job(tx.clone(), Duration::from_secs(5)))
                 .map_err(|_| ())
                 .unwrap();
+        };
+        // Workers racing on one cold key may each miss, which the cache
+        // allows; so warm the key with one job and wait for its reply
+        // before queueing the rest, which must then all hit.
+        push(&tx);
+        let first = rx.recv().unwrap();
+        for _ in 0..9 {
+            push(&tx);
         }
         drop(tx);
         queue.close();
         pool.join();
-        let replies: Vec<String> = rx.iter().collect();
+        let replies: Vec<String> = std::iter::once(first).chain(rx.iter()).collect();
         assert_eq!(replies.len(), 10);
         assert_eq!(ctx.stats.snapshot().completed, 10);
         assert_eq!(ctx.cache.misses(), 1);

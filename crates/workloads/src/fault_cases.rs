@@ -270,24 +270,9 @@ impl TreeFaultCase {
     }
 }
 
-/// Non-root processor rates of a tree in preorder.
-pub(crate) fn agent_rates(node: &TreeNode) -> Vec<f64> {
-    fn walk(node: &TreeNode, out: &mut Vec<f64>, is_root: bool) {
-        if !is_root {
-            out.push(node.processor.w);
-        }
-        for (_, c) in &node.children {
-            walk(c, out, false);
-        }
-    }
-    let mut out = Vec::new();
-    walk(node, &mut out, true);
-    out
-}
-
 pub(crate) fn finish(label: String, shape: TreeNode) -> TreeFaultCase {
     let shape = dlt::tree::canonicalize(&shape);
-    let true_rates = agent_rates(&shape);
+    let true_rates = dlt::tree::agent_rates(&shape);
     TreeFaultCase {
         label,
         shape,
